@@ -80,7 +80,7 @@ import json
 import pathlib
 import random
 import sys
-from typing import Iterator, List, Optional
+from typing import Any, Iterator, List, Optional
 
 from .analysis import (
     instance_summary,
@@ -352,7 +352,9 @@ def _live(args: argparse.Namespace) -> Iterator[Optional[object]]:
         server = None
         try:
             if metrics_port is not None:
-                server = obs.MetricsServer(port=metrics_port, monitor=monitor)
+                server = _metrics_server(
+                    obs.MetricsSuite(monitor=monitor), port=metrics_port
+                )
                 print(f"[live metrics: {server.url}]", file=sys.stderr, flush=True)
             with obs.using_monitor(monitor):
                 yield monitor
@@ -362,6 +364,26 @@ def _live(args: argparse.Namespace) -> Iterator[Optional[object]]:
             monitor.close()
             if live_out:
                 print(f"[live events written to {live_out}]", file=sys.stderr)
+
+
+def _metrics_server(suite: Any, port: int = 0) -> Any:
+    """Serve a :class:`~repro.obs.httpexp.MetricsSuite` in the background.
+
+    Runs on the same asyncio HTTP stack as ``repro serve``; paths
+    outside the suite get a JSON 404 listing the suite's paths.  The
+    returned server exposes ``url``/``port`` and stops on ``close()``.
+    """
+    from .serve.http import BackgroundServer, Response, json_response
+
+    async def handle(request: Any) -> Any:
+        resolved = suite.handle(request.path)
+        if resolved is None:
+            return json_response(
+                404, {"error": "unknown path", "paths": suite.PATHS}
+            )
+        return Response(*resolved)
+
+    return BackgroundServer(handle, port=port).start()
 
 
 def _live_recorder(

@@ -40,15 +40,11 @@ degree-2 fold (``v`` with non-adjacent neighbors ``u``, ``x``)
 Processing is driven by :meth:`WeightedGraph.nodes_by_degree` buckets —
 only the degree ≤ 2 buckets seed the work queue; higher-degree nodes
 enter it when an event drops their residual degree — and alternates
-degree-rule passes with domination passes until a fixed point.  Two
-logs are kept:
-
-* a *semantic* fold log (include / fold1 / fold2 ops) replayed in
-  reverse by :meth:`Kernelization.lift` to turn a kernel witness into an
-  original-graph witness, and
-* a *primitive* journal (remove / reweight / create mutations) replayed
-  in reverse by :meth:`Kernelization.revert` to reconstruct the original
-  graph exactly — the round-trip invariant the property tests pin.
+degree-rule passes with domination passes until a fixed point.  One
+log is kept: a *semantic* fold log (include / fold1 / fold2 ops)
+replayed in reverse by :meth:`Kernelization.lift` to turn a kernel
+witness into an original-graph witness — the lift == brute-force
+invariant the property tests pin.
 
 The kernel operates directly on the graph's cached
 :meth:`~WeightedGraph.solver_index_form` with copy-on-write state, so a
@@ -198,9 +194,8 @@ class Kernelization:
     """The reduced instance plus everything needed to undo the reduction.
 
     Produced by :func:`kernelize`; exposes the kernel for solving
-    (:meth:`reduced_index_form` / :meth:`reduced_graph`), witness lifting
-    (:meth:`lift`), and exact reconstruction of the input
-    (:meth:`revert`).  Internal state starts as *references* to the
+    (:meth:`reduced_index_form` / :meth:`reduced_graph`) and witness
+    lifting (:meth:`lift`).  Internal state starts as *references* to the
     graph's cached index form and is copied on the first mutating rule,
     so kernelizing a non-reducible instance allocates almost nothing.
     """
@@ -214,7 +209,7 @@ class Kernelization:
         "_alive",
         "_owned",
         "_log",
-        "_journal",
+        "_mutated",
         "_reduced_form",
     )
 
@@ -235,10 +230,8 @@ class Kernelization:
         # Semantic ops for lift(): ("include", v) / ("fold1", v, u) /
         # ("fold2", v, u, x, folded_label).
         self._log: List[Tuple] = []
-        # Primitive mutations for revert(): ("remove", label, weight,
-        # neighbor_labels) / ("reweight", label, old_weight) /
-        # ("create", label).
-        self._journal: List[Tuple] = []
+        # Set by _remove, which every reduction rule goes through.
+        self._mutated = False
         self._reduced_form = None
         self.stats.initial_nodes = len(labels)
         self.stats.reduced_nodes = len(labels)
@@ -257,7 +250,7 @@ class Kernelization:
     @property
     def is_identity(self) -> bool:
         """True when no reduction rule fired (kernel == original)."""
-        return not self._journal
+        return not self._mutated
 
     def alive_indices(self) -> List[int]:
         return [i for i in range(len(self._labels)) if (self._alive >> i) & 1]
@@ -280,7 +273,7 @@ class Kernelization:
         form = self._reduced_form
         if form is not None:
             return form
-        if not self._journal:
+        if not self._mutated:
             form = (self._labels, self._weights, self._adj)
             self._reduced_form = form
             return form
@@ -319,7 +312,7 @@ class Kernelization:
                     out.add_edge(self._labels[i], self._labels[j])
         return out
 
-    # -- lifting and reverting -----------------------------------------
+    # -- lifting -------------------------------------------------------
 
     def lift(self, reduced_nodes) -> List[Node]:
         """Lift a kernel witness to an original-graph witness.
@@ -350,40 +343,11 @@ class Kernelization:
                     chosen.add(center)
         return [node for node in self.graph.nodes() if node in chosen]
 
-    def revert(self) -> WeightedGraph:
-        """Rebuild the original graph from the kernel plus the journal.
-
-        Starts from :meth:`reduced_graph` and undoes every primitive
-        mutation in reverse order.  The result compares equal
-        (weights and edge set) to the input graph — the round-trip
-        invariant of the property suite.
-        """
-        out = self.reduced_graph()
-        for entry in reversed(self._journal):
-            kind = entry[0]
-            if kind == "create":
-                out.remove_node(entry[1])
-            elif kind == "reweight":
-                out.set_weight(entry[1], entry[2])
-            else:  # remove
-                _, label, weight, neighbor_labels = entry
-                out.add_node(label, weight=weight)
-                for neighbor in neighbor_labels:
-                    out.add_edge(label, neighbor)
-        return out
-
     # -- reduction machinery -------------------------------------------
 
     def _remove(self, i: int, queue: List[int], queued: Set[int]) -> None:
         neighbor_mask = self._adj[i] & self._alive
-        self._journal.append(
-            (
-                "remove",
-                self._labels[i],
-                self._weights[i],
-                [self._labels[j] for j in _iter_bits(neighbor_mask)],
-            )
-        )
+        self._mutated = True
         self._alive &= ~(1 << i)
         for j in _iter_bits(neighbor_mask):
             if j not in queued:
@@ -404,7 +368,6 @@ class Kernelization:
         self._log.append(("fold1", self._labels[i], self._labels[j]))
         folded_weight = self._weights[i]
         self._remove(i, queue, queued)
-        self._journal.append(("reweight", self._labels[j], self._weights[j]))
         self._weights[j] -= folded_weight
         for neighbor in _iter_bits(self._adj[j] & self._alive):
             if neighbor not in queued:
@@ -432,7 +395,6 @@ class Kernelization:
         for b in _iter_bits(neighbor_mask):
             self._adj[b] |= 1 << fresh
         self._alive |= 1 << fresh
-        self._journal.append(("create", folded_label))
         if fresh not in queued:
             queued.add(fresh)
             queue.append(fresh)

@@ -62,7 +62,6 @@ from .export import (
 )
 from .flame import flamegraph_svg, folded_from_spans, parse_folded
 from .httpexp import (
-    MetricsServer,
     MetricsSuite,
     render_prometheus,
     sanitize_metric_name,
@@ -94,13 +93,11 @@ from .reqtrace import (
     RequestTrace,
     TraceBuffer,
     TraceContext,
-    TraceSpan,
     current_trace,
     format_traceparent,
     mint_span_id,
     mint_trace_id,
     parse_traceparent,
-    trace_region,
     using_trace,
 )
 from .sinks import InMemorySink, JsonlSink, Sink, counter_events
@@ -185,7 +182,6 @@ __all__ = [
     "JsonlSink",
     "LIVE_SCHEMA_VERSION",
     "LiveMonitor",
-    "MetricsServer",
     "MetricsSuite",
     "NULL_SPAN",
     "Recorder",
@@ -196,7 +192,6 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "TraceBuffer",
     "TraceContext",
-    "TraceSpan",
     "build_manifest",
     "chrome_trace",
     "counter_events",
@@ -236,7 +231,6 @@ __all__ = [
     "trace_events",
     "trace_from_events",
     "trace_from_recorder",
-    "trace_region",
     "using_monitor",
     "using_trace",
     "using_profiler",

@@ -516,27 +516,6 @@ def dump_speedscope(document: Dict[str, Any]) -> str:
 # -- critical path -----------------------------------------------------
 
 
-def _as_records(spans: Sequence[Union[SpanRecord, Dict[str, Any]]]) -> List[SpanRecord]:
-    records: List[SpanRecord] = []
-    for span in spans:
-        if isinstance(span, SpanRecord):
-            records.append(span)
-        else:
-            records.append(
-                SpanRecord(
-                    index=int(span["index"]),
-                    parent=span.get("parent"),
-                    depth=int(span.get("depth", 0)),
-                    name=str(span.get("name", "?")),
-                    params=span.get("params") or {},
-                    start_s=float(span.get("start_s", 0.0)),
-                    duration_s=float(span.get("duration_s", 0.0)),
-                    track=span.get("track"),
-                )
-            )
-    return records
-
-
 def critical_path(
     spans: Sequence[Union[SpanRecord, Dict[str, Any]]],
 ) -> List[Dict[str, Any]]:
@@ -548,7 +527,10 @@ def critical_path(
     it had.  Ties break toward record order, so the result is
     deterministic for identical inputs.
     """
-    records = _as_records(spans)
+    records = [
+        span if isinstance(span, SpanRecord) else SpanRecord.from_dict(span)
+        for span in spans
+    ]
     if not records:
         return []
     children: Dict[Optional[int], List[SpanRecord]] = {}

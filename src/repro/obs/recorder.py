@@ -24,7 +24,7 @@ imported lazily inside the render methods.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .metrics import DEFAULT_RESERVOIR_SIZE, Histogram, render_summary_rows
 
@@ -106,11 +106,67 @@ class SpanRecord:
             "track": self.track,
         }
 
+    @classmethod
+    def from_dict(cls, event: Mapping[str, Any]) -> "SpanRecord":
+        """Rebuild a span from its :meth:`to_dict` event.
+
+        Tolerant of missing fields, so hand-written or older JSONL span
+        lines load too.
+        """
+        return cls(
+            index=event.get("index"),
+            parent=event.get("parent"),
+            depth=event.get("depth", 0),
+            name=event.get("name", "?"),
+            params=dict(event.get("params") or {}),
+            start_s=float(event.get("start_s", 0.0)),
+            duration_s=float(event.get("duration_s", 0.0)),
+            track=event.get("track"),
+        )
+
     def __repr__(self) -> str:
         return (
             f"SpanRecord({self.name!r}, depth={self.depth}, "
             f"duration_s={self.duration_s:.6f})"
         )
+
+
+def rebase_spans(
+    records: Sequence[SpanRecord],
+    base: int,
+    parent: Optional[int],
+    depth: int,
+    track: Optional[str] = None,
+) -> List[SpanRecord]:
+    """Copy a run of spans into another tree at indices ``base, base+1, ...``.
+
+    ``records`` is a contiguous run in record order, so its first span
+    is one of its roots.  Parents inside the run are rebased along with
+    their children; a parent outside the run (or none) becomes
+    ``parent``.  Depths shift so the run's roots sit at ``depth``, and
+    spans without a track take ``track``.  Used to graft worker
+    snapshots into a recorder and solver spans into a request trace.
+    """
+    if not records:
+        return []
+    first = records[0].index
+    shift = base - first
+    depth_shift = depth - records[0].depth
+    return [
+        SpanRecord(
+            index=record.index + shift,
+            parent=record.parent + shift
+            if record.parent is not None and record.parent >= first
+            else parent,
+            depth=record.depth + depth_shift,
+            name=record.name,
+            params=dict(record.params),
+            start_s=record.start_s,
+            duration_s=record.duration_s,
+            track=record.track or track,
+        )
+        for record in records
+    ]
 
 
 class _NullSpan:
@@ -295,21 +351,14 @@ class Recorder:
         unit id, stable across worker scheduling); spans that already
         carry a track keep it.
         """
-        base = len(self.spans)
-        graft_parent = self._stack[-1].index if self._stack else None
-        graft_depth = self._stack[-1].depth + 1 if self._stack else 0
-        for event in snapshot.get("spans", ()):
-            parent = event["parent"]
-            record = SpanRecord(
-                index=base + event["index"],
-                parent=base + parent if parent is not None else graft_parent,
-                depth=graft_depth + event["depth"],
-                name=event["name"],
-                params=dict(event.get("params", {})),
-                start_s=event["start_s"],
-                duration_s=event["duration_s"],
-                track=event.get("track") or track,
-            )
+        grafted = rebase_spans(
+            [SpanRecord.from_dict(event) for event in snapshot.get("spans", ())],
+            base=len(self.spans),
+            parent=self._stack[-1].index if self._stack else None,
+            depth=self._stack[-1].depth + 1 if self._stack else 0,
+            track=track,
+        )
+        for record in grafted:
             self.spans.append(record)
             for sink in self._sinks:
                 sink.on_span(record)

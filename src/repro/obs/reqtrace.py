@@ -21,15 +21,16 @@ Three cooperating pieces:
     able to fail a request.
 
 :class:`RequestTrace`
-    One request's span tree.  Spans carry explicit parents (no ambient
-    stack — spans are recorded from the event loop *and* the dispatcher
-    thread), JSON-native attributes, and the same
-    ``perf_counter``-based clock the :class:`~repro.obs.recorder.
-    Recorder` uses, so recorder spans captured during a computation
-    graft in with aligned timestamps.  ``links`` connect a trace to
-    another trace (a coalesced follower links to its leader).  The
-    finished trace converts losslessly to recorder-shaped span events,
-    which is what lets ``GET /v1/traces/<id>?format=chrome`` reuse
+    One request's span tree, held as the recorder's own
+    :class:`~repro.obs.recorder.SpanRecord` s plus a parallel list of
+    hex span ids.  Spans carry explicit parents (no ambient stack —
+    spans are recorded from the event loop *and* the dispatcher
+    thread), JSON-native attributes, and the same ``perf_counter``
+    clock the recorder uses, so the solver's recorder spans graft in
+    directly with aligned timestamps.  ``links`` connect a trace to
+    another trace (a coalesced follower links to its leader).  Because
+    the spans already are span records, ``GET
+    /v1/traces/<id>?format=chrome`` goes through
     :mod:`repro.obs.export` unchanged.
 
 :class:`TraceBuffer`
@@ -44,8 +45,8 @@ captures :func:`contextvars.copy_context` at submission and runs the
 work inside it, so :func:`current_trace` works on the dispatcher thread
 and in the store's single-flight tier without any parameter threading.
 
-Nothing here imports the rest of :mod:`repro` — like the recorder, this
-module sits below every other layer.
+Nothing here imports the rest of :mod:`repro` except the recorder, so
+this module sits below every other layer too.
 """
 
 from __future__ import annotations
@@ -56,7 +57,9 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence
+
+from .recorder import SpanRecord, rebase_spans
 
 #: Version stamp on trace documents served by ``GET /v1/traces[/<id>]``.
 TRACE_SCHEMA_VERSION = 1
@@ -138,71 +141,17 @@ def format_traceparent(trace_id: str, span_id: str, sampled: bool = True) -> str
     return f"{TRACEPARENT_VERSION}-{trace_id}-{span_id}-{flags}"
 
 
-class TraceSpan:
-    """One span inside a request trace (explicit parent, no stack)."""
-
-    __slots__ = ("span_id", "parent_id", "name", "start_s", "duration_s", "attrs")
-
-    def __init__(
-        self,
-        span_id: str,
-        parent_id: Optional[str],
-        name: str,
-        start_s: float,
-        duration_s: float = 0.0,
-        attrs: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = name
-        self.start_s = start_s
-        self.duration_s = duration_s
-        self.attrs = attrs or {}
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "start_s": self.start_s,
-            "duration_s": self.duration_s,
-            "attrs": dict(self.attrs),
-        }
-
-
-class _OpenTraceSpan:
-    """Context manager that closes an explicit-parent span on exit."""
-
-    __slots__ = ("_trace", "_span")
-
-    def __init__(self, trace: "RequestTrace", span: TraceSpan) -> None:
-        self._trace = trace
-        self._span = span
-
-    @property
-    def span_id(self) -> str:
-        return self._span.span_id
-
-    def set(self, **attrs: Any) -> None:
-        """Attach attributes to the span while it is open."""
-        self._span.attrs.update(attrs)
-
-    def __enter__(self) -> "_OpenTraceSpan":
-        return self
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> bool:
-        self._span.duration_s = time.perf_counter() - self._span.start_s
-        return False
-
-
 class RequestTrace:
     """One request's span tree, links, and final disposition.
 
-    Spans are appended under a lock because the event loop and the
-    dispatcher thread both record into the same trace.  The root span
-    is opened at construction and closed by :meth:`finish`, which also
-    stamps the request's outcome (status, disposition, error) so the
-    retention buffer can classify the trace.
+    Spans are :class:`~repro.obs.recorder.SpanRecord` s indexed by
+    position, with ``params`` holding their attributes; ``span_ids``
+    holds each span's hex id in parallel.  They are appended under a
+    lock because the event loop and the dispatcher thread both record
+    into the same trace.  The root span (index 0) is opened at
+    construction and closed by :meth:`finish`, which also stamps the
+    request's outcome (status, disposition, error) so the retention
+    buffer can classify the trace.
     """
 
     def __init__(
@@ -228,14 +177,16 @@ class RequestTrace:
         root_attrs: Dict[str, Any] = {"method": method, "path": path}
         if self.remote_parent_id is not None:
             root_attrs["remote_parent_span_id"] = self.remote_parent_id
-        self._root = TraceSpan(
-            span_id=mint_span_id(),
-            parent_id=None,
+        self._root = SpanRecord(
+            index=0,
+            parent=None,
+            depth=0,
             name="request",
+            params=root_attrs,
             start_s=received_s if received_s is not None else time.perf_counter(),
-            attrs=root_attrs,
         )
-        self.spans: List[TraceSpan] = [self._root]
+        self.spans: List[SpanRecord] = [self._root]
+        self.span_ids: List[str] = [mint_span_id()]
         self._finished = False
 
     # ------------------------------------------------------------------
@@ -244,78 +195,64 @@ class RequestTrace:
 
     @property
     def root_span_id(self) -> str:
-        return self._root.span_id
+        return self.span_ids[0]
 
     @property
     def duration_ms(self) -> float:
         return self._root.duration_s * 1000.0
-
-    def span(
-        self, name: str, parent_id: Optional[str] = None, **attrs: Any
-    ) -> _OpenTraceSpan:
-        """Open a child span; close it with ``with trace.span(...)``."""
-        record = TraceSpan(
-            span_id=mint_span_id(),
-            parent_id=parent_id or self._root.span_id,
-            name=name,
-            start_s=time.perf_counter(),
-            attrs=dict(attrs),
-        )
-        with self._lock:
-            self.spans.append(record)
-        return _OpenTraceSpan(self, record)
 
     def add_span(
         self,
         name: str,
         start_s: float,
         duration_s: float,
-        parent_id: Optional[str] = None,
         attrs: Optional[Dict[str, Any]] = None,
-    ) -> str:
-        """Record an already-measured span; returns its span id."""
-        record = TraceSpan(
-            span_id=mint_span_id(),
-            parent_id=parent_id or self._root.span_id,
-            name=name,
-            start_s=start_s,
-            duration_s=duration_s,
-            attrs=dict(attrs or {}),
-        )
+    ) -> SpanRecord:
+        """Record an already-measured child of the root span."""
+        span_id = mint_span_id()
         with self._lock:
-            self.spans.append(record)
-        return record.span_id
-
-    def graft_recorder_spans(
-        self, events: List[Dict[str, Any]], parent_id: str
-    ) -> int:
-        """Fold captured recorder span events under ``parent_id``.
-
-        ``events`` are :meth:`~repro.obs.recorder.SpanRecord.to_dict`
-        dicts captured by a sink during one computation.  Recorder
-        indices are rebased onto fresh span ids; a parent index outside
-        the captured set attaches to ``parent_id``.  Returns the number
-        of spans grafted.
-        """
-        if not events:
-            return 0
-        by_index = {event["index"]: mint_span_id() for event in events}
-        grafted: List[TraceSpan] = []
-        for event in sorted(events, key=lambda e: e["index"]):
-            parent_index = event.get("parent")
-            grafted.append(
-                TraceSpan(
-                    span_id=by_index[event["index"]],
-                    parent_id=by_index.get(parent_index, parent_id),
-                    name=event["name"],
-                    start_s=float(event["start_s"]),
-                    duration_s=float(event.get("duration_s", 0.0)),
-                    attrs=dict(event.get("params") or {}),
-                )
+            record = SpanRecord(
+                index=len(self.spans),
+                parent=0,
+                depth=1,
+                name=name,
+                params=dict(attrs or {}),
+                start_s=start_s,
+                duration_s=duration_s,
             )
+            self.spans.append(record)
+            self.span_ids.append(span_id)
+        return record
+
+    @contextlib.contextmanager
+    def span(self, name: str, **attrs: Any) -> Iterator[SpanRecord]:
+        """Open a child of the root span: ``with trace.span(...) as record``.
+
+        Attributes set on ``record.params`` while the span is open are
+        part of the trace.
+        """
+        record = self.add_span(name, time.perf_counter(), 0.0, attrs)
+        try:
+            yield record
+        finally:
+            record.duration_s = time.perf_counter() - record.start_s
+
+    def graft(self, records: Sequence[SpanRecord], parent: SpanRecord) -> None:
+        """Copy recorder spans (one contiguous run) under ``parent``.
+
+        Indices, parents and depths are rebased onto this trace by the
+        same helper :meth:`~repro.obs.recorder.Recorder.merge_snapshot`
+        uses; every grafted span gets a fresh span id.
+        """
         with self._lock:
+            grafted = rebase_spans(
+                records,
+                base=len(self.spans),
+                parent=parent.index,
+                depth=parent.depth + 1,
+            )
             self.spans.extend(grafted)
-        return len(grafted)
+            self.span_ids.extend(mint_span_id() for _ in grafted)
 
     def link(self, trace_id: str, span_id: str, relation: str) -> None:
         """Connect this trace to a span in another trace."""
@@ -339,11 +276,11 @@ class RequestTrace:
             self.status = status
             self.disposition = disposition
             self.error = error
-            self._root.attrs["status"] = status
+            self._root.params["status"] = status
             if disposition is not None:
-                self._root.attrs["disposition"] = disposition
+                self._root.params["disposition"] = disposition
             if error is not None:
-                self._root.attrs["error"] = error
+                self._root.params["error"] = error
 
     # ------------------------------------------------------------------
     # Classification and views
@@ -387,51 +324,44 @@ class RequestTrace:
             "links": links,
         }
 
-    def span_events(self) -> List[Dict[str, Any]]:
-        """Recorder-shaped span event dicts (index/parent/depth/...).
+    def span_events(self) -> List[SpanRecord]:
+        """Copies of the spans for Chrome export, tagged with their ids.
 
-        The bridge into :mod:`repro.obs.export`: the returned events
-        are exactly what :func:`~repro.obs.export.chrome_trace`
-        consumes, so a stored trace exports through the same pure
-        (and byte-deterministic) path as a profiled CLI run.
+        Each copy's params gain ``repro.span_id``, so a stored trace
+        exports through the same pure (and byte-deterministic)
+        :func:`~repro.obs.export.chrome_trace` path as a profiled CLI
+        run.
         """
         with self._lock:
-            spans = list(self.spans)
-        index_of = {span.span_id: index for index, span in enumerate(spans)}
-        depths: Dict[str, int] = {}
-
-        def depth_of(span: TraceSpan) -> int:
-            if span.span_id in depths:
-                return depths[span.span_id]
-            if span.parent_id is None or span.parent_id not in index_of:
-                depth = 0
-            else:
-                depth = depth_of(spans[index_of[span.parent_id]]) + 1
-            depths[span.span_id] = depth
-            return depth
-
-        events = []
-        for index, span in enumerate(spans):
-            parent = index_of.get(span.parent_id) if span.parent_id else None
-            events.append(
-                {
-                    "type": "span",
-                    "index": index,
-                    "parent": parent,
-                    "depth": depth_of(span),
-                    "name": span.name,
-                    "params": dict(span.attrs, **{"repro.span_id": span.span_id}),
-                    "start_s": span.start_s,
-                    "duration_s": span.duration_s,
-                    "track": None,
-                }
+            pairs = list(zip(self.spans, self.span_ids))
+        return [
+            SpanRecord(
+                index=record.index,
+                parent=record.parent,
+                depth=record.depth,
+                name=record.name,
+                params=dict(record.params, **{"repro.span_id": span_id}),
+                start_s=record.start_s,
+                duration_s=record.duration_s,
             )
-        return events
+            for record, span_id in pairs
+        ]
 
     def to_document(self) -> Dict[str, Any]:
         """The full ``GET /v1/traces/<id>`` span-tree document."""
         with self._lock:
-            spans = [span.to_dict() for span in self.spans]
+            ids = self.span_ids
+            spans = [
+                {
+                    "span_id": ids[record.index],
+                    "parent_id": None if record.parent is None else ids[record.parent],
+                    "name": record.name,
+                    "start_s": record.start_s,
+                    "duration_s": record.duration_s,
+                    "attrs": dict(record.params),
+                }
+                for record in self.spans
+            ]
             links = [dict(link) for link in self.links]
         return {
             "trace_schema_version": TRACE_SCHEMA_VERSION,
@@ -480,24 +410,6 @@ def using_trace(trace: Optional[RequestTrace]) -> Iterator[Optional[RequestTrace
         yield trace
     finally:
         _CURRENT.reset(token)
-
-
-@contextlib.contextmanager
-def trace_region(
-    name: str, trace: Optional[RequestTrace] = None, **attrs: Any
-) -> Iterator[Optional[_OpenTraceSpan]]:
-    """Span ``name`` on the ambient (or given) trace; no-op without one.
-
-    The instrumentation shape for layers that may or may not be inside
-    a traced request (the store, the dispatcher): always safe to call,
-    zero cost beyond one context-var read when no trace is bound.
-    """
-    trace = trace if trace is not None else current_trace()
-    if trace is None:
-        yield None
-        return
-    with trace.span(name, **attrs) as span:
-        yield span
 
 
 # ----------------------------------------------------------------------

@@ -38,10 +38,12 @@ import asyncio
 import itertools
 import json
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
+from urllib.parse import parse_qs
 
 from .. import obs
 from ..obs.httpexp import MetricsSuite
+from ..obs.recorder import SpanRecord
 from ..obs.reqtrace import (
     RequestTrace,
     TraceBuffer,
@@ -174,24 +176,26 @@ def endpoint_template(method: str, path: str) -> str:
     return f"{method} {path}"
 
 
-class _CaptureSink:
-    """A temporary recorder sink that collects closed spans as dicts.
+def _run_recorded(
+    name: str, fn: Callable[..., Any], *args: Any
+) -> Tuple[Any, List[SpanRecord]]:
+    """Run ``fn(*args)`` under recorder span ``name``, then trim its spans.
 
-    Attached around one computation on the dispatcher thread (the only
-    thread that opens recorder spans in the service), so everything it
-    sees belongs to that computation.
+    Returns the value and the spans opened beneath ``name``.  In the
+    service the process recorder keeps aggregate counters, histograms
+    and timers only: without the trim, every computation's spans would
+    stay on it and a long-running service would grow without bound.
     """
-
-    __slots__ = ("records",)
-
-    def __init__(self) -> None:
-        self.records: List[Dict[str, Any]] = []
-
-    def on_span(self, record: Any) -> None:
-        self.records.append(record.to_dict())
-
-    def on_flush(self, recorder: Any) -> None:
-        pass
+    if not _obs.enabled:
+        return fn(*args), []
+    base = len(_obs.spans)
+    try:
+        with _obs.span(name):
+            value = fn(*args)
+        return value, _obs.spans[base + 1 :]
+    finally:
+        if not _obs._stack:
+            del _obs.spans[base:]
 
 
 class Application:
@@ -205,7 +209,6 @@ class Application:
         traces: Optional[TraceBuffer] = None,
         slo: Optional[SLORegistry] = None,
         access_log: Optional[AccessLog] = None,
-        trim_recorder_spans: bool = True,
     ) -> None:
         self.dispatcher = dispatcher if dispatcher is not None else Dispatcher()
         self.suite = suite if suite is not None else MetricsSuite()
@@ -217,10 +220,6 @@ class Application:
         self.suite.add_metrics_source(self.slo.prometheus_lines)
         #: Optional structured JSONL access log (one line per request).
         self.access_log = access_log
-        #: Drop recorder spans captured per-request after grafting them
-        #: into the trace — without this, a long-running service grows
-        #: the process recorder's span list without bound.
-        self.trim_recorder_spans = trim_recorder_spans
         #: Loop-confined coalescing map: request key -> in-flight future.
         self._inflight: Dict[str, "asyncio.Future[Any]"] = {}
         #: Leader trace identity per in-flight key, for follower links.
@@ -267,7 +266,7 @@ class Application:
             if trace is not None:
                 with trace.span("store.lookup") as span:
                     value = store.get(key)
-                    span.set(outcome="hit" if value is not MISS else "miss")
+                    span.params["outcome"] = "hit" if value is not MISS else "miss"
             else:
                 value = store.get(key)
             if value is not MISS:
@@ -293,51 +292,26 @@ class Application:
     def _execute_traced(
         self, kind: str, kwargs: Dict[str, Any], trace: Optional[RequestTrace]
     ) -> Any:
-        """Run one unit, mirroring its recorder spans onto the trace.
+        """Run one unit, grafting its recorder spans onto the trace.
 
         Always records an ``execute.<kind>`` span.  When the process
-        recorder is enabled (the ``repro serve`` CLI path), a temporary
-        sink captures the spans the computation closes — kernelization
-        phases, the solver itself — and grafts them under the execute
-        span, so ``GET /v1/traces/<id>`` shows where the solve's time
-        went, not just that it happened.  The captured spans are then
-        trimmed from the recorder (when ``trim_recorder_spans``) so a
-        long-running service's span list stays bounded; aggregate
-        counters/histograms are untouched.
+        recorder is enabled (the ``repro serve`` CLI path), the spans
+        the computation opens — kernelization phases, the solver
+        itself — are copied from the recorder under the execute span,
+        so ``GET /v1/traces/<id>`` shows where the solve's time went,
+        not just that it happened; :func:`_run_recorded` then trims
+        them from the recorder.
         """
         from ..parallel.jobs import execute_unit
 
+        name = f"serve.{kind}"
         if trace is None:
-            return execute_unit(kind, kwargs)
+            return _run_recorded(name, execute_unit, kind, kwargs)[0]
         with trace.span(f"execute.{kind}", kind=kind) as execute_span:
-            if not _obs.enabled:
-                return execute_unit(kind, kwargs)
-            wrapper_name = f"serve.{kind}"
-            base = len(_obs.spans)
-            capture = _CaptureSink()
-            _obs.add_sink(capture)
-            try:
-                with _obs.span(wrapper_name):
-                    value = execute_unit(kind, kwargs)
-            finally:
-                _obs.remove_sink(capture)
-            nested = [
-                record
-                for record in capture.records
-                if not (record["index"] == base and record["name"] == wrapper_name)
-            ]
-            grafted = trace.graft_recorder_spans(
-                nested, parent_id=execute_span.span_id
-            )
-            if grafted:
-                execute_span.set(recorder_spans=grafted)
-            if (
-                self.trim_recorder_spans
-                and len(_obs.spans) > base
-                and _obs.spans[base].name == wrapper_name
-                and not _obs._stack
-            ):
-                del _obs.spans[base:]
+            value, nested = _run_recorded(name, execute_unit, kind, kwargs)
+            if nested:
+                trace.graft(nested, parent=execute_span)
+                execute_span.params["recorder_spans"] = len(nested)
             return value
 
     async def _coalesced_compute(
@@ -362,7 +336,7 @@ class Application:
                         trace.link(
                             leader_trace_id, leader_span_id, "coalesced_with"
                         )
-                        span.set(leader_trace_id=leader_trace_id)
+                        span.params["leader_trace_id"] = leader_trace_id
                     value, _ = await asyncio.shield(existing)
             else:
                 value, _ = await asyncio.shield(existing)
@@ -608,8 +582,7 @@ class Application:
             "traces": self.traces.summaries(),
         }
 
-    def _trace(self, rest: str, request: Request) -> Response:
-        trace_id, _, query = rest.partition("?")
+    def _trace(self, trace_id: str, request: Request) -> Response:
         trace = self.traces.get(trace_id)
         if trace is None:
             return json_response(
@@ -620,10 +593,8 @@ class Application:
                     "buffer; list recent ids at /v1/traces",
                 },
             )
-        wants_chrome = "format=chrome" in query or "format=chrome" in (
-            request.path.partition("?")[2]
-        )
-        if wants_chrome:
+        query = parse_qs(request.path.partition("?")[2])
+        if query.get("format") == ["chrome"]:
             from ..obs.export import chrome_trace, dump_trace
 
             trace_document = chrome_trace(
@@ -805,7 +776,7 @@ class Application:
 
             job["status"] = "running"
             job["started_unix_s"] = round(time.time(), 3)
-            return run_units(units, workers=self.workers)
+            return _run_recorded("serve.sweep", run_units, units, self.workers)[0]
 
         try:
             pending = self.dispatcher.submit(run_sweep)

@@ -93,7 +93,7 @@ class SingleFlight:
                         trace.link(
                             leader_trace_id, leader_span_id, "coalesced_with"
                         )
-                        span.set(leader_trace_id=leader_trace_id)
+                        span.params["leader_trace_id"] = leader_trace_id
                     call.done.wait()
             else:
                 call.done.wait()

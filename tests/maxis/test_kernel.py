@@ -165,8 +165,8 @@ class TestFoldedVertex:
 
 class TestKernelizationState:
     def test_identity_kernel_shares_cached_form(self):
-        # The cube is irreducible: no journal entries, and the reduced
-        # form IS the graph's own cached index form (zero copies).
+        # The cube is irreducible: no rule fires, and the reduced form
+        # IS the graph's own cached index form (zero copies).
         graph = _cube()
         kern = kernelize(graph)
         assert kern.is_identity
@@ -178,6 +178,11 @@ class TestKernelizationState:
         assert labels is cached_labels
         assert weights is cached_weights
         assert masks is cached_masks
+
+    def test_is_identity_cleared_once_a_rule_fires(self):
+        kern = kernelize(_path([1, 5, 1]))
+        assert not kern.is_identity
+        assert kern.stats.removed_nodes > 0
 
     def test_kernelization_cached_per_graph(self):
         graph = _path([1, 5, 1])
@@ -213,10 +218,6 @@ class TestKernelizationState:
         labels, weights, _ = kern.reduced_index_form()
         assert sorted(map(str, reduced.nodes())) == sorted(map(str, labels))
         assert sorted(reduced.weights().values()) == sorted(weights)
-
-    def test_revert_after_folds(self):
-        graph = _path([1, 2, 3, 2, 1])
-        assert kernelize(graph).revert() == graph
 
     def test_pickle_drops_graph_side_cache(self):
         graph = _path([1, 5, 1])

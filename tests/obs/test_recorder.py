@@ -4,7 +4,7 @@ import pytest
 
 from repro import obs
 from repro.obs import InMemorySink, Recorder
-from repro.obs.recorder import NULL_SPAN
+from repro.obs.recorder import NULL_SPAN, SpanRecord, rebase_spans
 
 
 class FakeClock:
@@ -130,6 +130,23 @@ class TestSpanTreeAccessors:
         event = recorder.spans[0].to_dict()
         assert "track" in event
         assert event["track"] is None
+
+    def test_from_dict_inverts_to_dict(self):
+        for record in self._recorder().spans:
+            event = record.to_dict()
+            assert SpanRecord.from_dict(event).to_dict() == event
+
+    def test_rebase_spans_moves_a_run_under_a_parent(self):
+        outer, inner, second = self._recorder().spans
+        moved = rebase_spans(
+            [outer, inner], base=10, parent=4, depth=2, track="unit-1"
+        )
+        assert [(r.index, r.parent, r.depth, r.track) for r in moved] == [
+            (10, 4, 2, "unit-1"),
+            (11, 10, 3, "unit-1"),
+        ]
+        # Copies: the source records keep their place in their own tree.
+        assert (outer.index, inner.parent, inner.track) == (0, 0, None)
 
 
 class TestCountersAndGauges:

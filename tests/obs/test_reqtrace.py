@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.obs.export import chrome_trace, dump_trace
+from repro.obs.recorder import SpanRecord
 from repro.obs.reqtrace import (
     RequestTrace,
     TraceBuffer,
@@ -13,7 +14,6 @@ from repro.obs.reqtrace import (
     mint_span_id,
     mint_trace_id,
     parse_traceparent,
-    trace_region,
     using_trace,
 )
 
@@ -82,8 +82,9 @@ class TestRequestTrace:
         trace.finish(status=200, disposition="cache_hit")
         assert trace.status == 200
         assert trace.disposition == "cache_hit"
-        assert trace.spans[0].name == "request"
-        assert trace.spans[0].attrs["status"] == 200
+        root = trace.to_document()["spans"][0]
+        assert root["name"] == "request"
+        assert root["attrs"]["status"] == 200
         assert not trace.is_error
 
     def test_finish_is_idempotent(self):
@@ -96,38 +97,47 @@ class TestRequestTrace:
     def test_child_spans_default_to_root_parent(self):
         trace = RequestTrace()
         with trace.span("store.lookup") as span:
-            span.set(outcome="miss")
-        record = trace.spans[-1]
-        assert record.parent_id == trace.root_span_id
-        assert record.attrs["outcome"] == "miss"
-        assert record.duration_s >= 0.0
+            span.params["outcome"] = "miss"
+        record = trace.to_document()["spans"][-1]
+        assert record["parent_id"] == trace.root_span_id
+        assert record["attrs"]["outcome"] == "miss"
+        assert record["duration_s"] >= 0.0
 
     def test_explicit_parent_nesting(self):
         trace = RequestTrace()
         with trace.span("execute.maxis_solve") as outer:
-            inner_id = trace.add_span(
-                "maxis.exact.search", start_s=0.0, duration_s=0.5,
-                parent_id=outer.span_id,
-            )
-        by_id = {span.span_id: span for span in trace.spans}
-        assert by_id[inner_id].parent_id == outer.span_id
+            search = SpanRecord(0, None, 0, "maxis.exact.search", {}, 0.0, 0.5)
+            trace.graft([search], parent=outer)
+        by_name = {span["name"]: span for span in trace.to_document()["spans"]}
+        assert (
+            by_name["maxis.exact.search"]["parent_id"]
+            == by_name["execute.maxis_solve"]["span_id"]
+        )
 
     def test_graft_recorder_spans_rebases_parents(self):
         trace = RequestTrace()
         with trace.span("execute.gadget_graph") as execute:
-            parent_id = execute.span_id
-        events = [
-            {"index": 7, "parent": None, "name": "outer", "start_s": 1.0,
-             "duration_s": 2.0, "params": {"a": 1}},
-            {"index": 8, "parent": 7, "name": "inner", "start_s": 1.5,
-             "duration_s": 0.5, "params": {}},
+            pass
+        # A recorder run opened under a wrapper span (index 6) that
+        # stays behind: its parent lies outside the grafted run.
+        records = [
+            SpanRecord(7, 6, 1, "outer", {"a": 1}, 1.0, 2.0),
+            SpanRecord(8, 7, 2, "inner", {}, 1.5, 0.5),
         ]
-        assert trace.graft_recorder_spans(events, parent_id=parent_id) == 2
-        outer = next(s for s in trace.spans if s.name == "outer")
-        inner = next(s for s in trace.spans if s.name == "inner")
-        assert outer.parent_id == parent_id
-        assert inner.parent_id == outer.span_id
-        assert outer.attrs == {"a": 1}
+        trace.graft(records, parent=execute)
+        spans = trace.to_document()["spans"]
+        by_name = {span["name"]: span for span in spans}
+        outer, inner = by_name["outer"], by_name["inner"]
+        assert outer["parent_id"] == by_name["execute.gadget_graph"]["span_id"]
+        assert inner["parent_id"] == outer["span_id"]
+        assert outer["attrs"] == {"a": 1}
+        assert (outer["start_s"], outer["duration_s"]) == (1.0, 2.0)
+        # Grafted copies: the recorder's records are left untouched.
+        assert records[0].index == 7 and records[0].parent == 6
+        depths = {event.name: event.depth for event in trace.span_events()}
+        assert depths == {
+            "request": 0, "execute.gadget_graph": 1, "outer": 2, "inner": 3,
+        }
 
     def test_span_total_ms_matches_prefix(self):
         trace = RequestTrace()
@@ -179,18 +189,6 @@ class TestAmbientContext:
                 assert current_trace() is None
             assert current_trace() is trace
         assert current_trace() is None
-
-    def test_trace_region_is_noop_without_trace(self):
-        with trace_region("anything") as span:
-            assert span is None
-
-    def test_trace_region_records_on_ambient_trace(self):
-        trace = RequestTrace()
-        with using_trace(trace):
-            with trace_region("store.lookup", outcome="hit") as span:
-                assert span is not None
-        assert trace.spans[-1].name == "store.lookup"
-        assert trace.spans[-1].attrs["outcome"] == "hit"
 
 
 def _finished(duration_ms=1.0, status=200, error=None):

@@ -6,8 +6,9 @@ import urllib.request
 
 import pytest
 
+from repro.cli import _metrics_server
 from repro.obs.httpexp import (
-    MetricsServer,
+    MetricsSuite,
     render_prometheus,
     sanitize_metric_name,
 )
@@ -169,13 +170,15 @@ def fetch(url):
 
 
 class TestMetricsServer:
+    """The ``--metrics-port`` exporter: the suite on the asyncio server."""
+
     @pytest.fixture()
     def server(self):
         recorder = fresh_recorder()
         recorder.incr("congest.messages", 3)
         monitor = LiveMonitor(command="serve-test")
         monitor.sweep_started(2)
-        server = MetricsServer(port=0, recorder=recorder, monitor=monitor)
+        server = _metrics_server(MetricsSuite(recorder=recorder, monitor=monitor))
         yield server
         server.close()
         monitor.close()
@@ -214,9 +217,14 @@ class TestMetricsServer:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             fetch(f"{server.url}/nope")
         assert excinfo.value.code == 404
+        assert excinfo.value.headers["Content-Type"] == "application/json"
+        assert json.loads(excinfo.value.read()) == {
+            "error": "unknown path",
+            "paths": MetricsSuite.PATHS,
+        }
 
     def test_progress_inactive_without_monitor(self):
-        server = MetricsServer(port=0, recorder=fresh_recorder(), monitor=None)
+        server = _metrics_server(MetricsSuite(recorder=fresh_recorder()))
         try:
             _, _, body = fetch(f"{server.url}/progress")
             assert json.loads(body) == {
@@ -227,7 +235,7 @@ class TestMetricsServer:
             server.close()
 
     def test_close_releases_port(self):
-        server = MetricsServer(port=0, recorder=fresh_recorder())
+        server = _metrics_server(MetricsSuite(recorder=fresh_recorder()))
         url = server.url
         server.close()
         with pytest.raises((urllib.error.URLError, ConnectionError, OSError)):

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.core import QUADRATIC_CLAIM_NAMES, linear_claim_names
 from repro.gadgets import GadgetParameters
 from repro.graphs.serialize import graph_from_dict, graph_to_dict
@@ -142,6 +143,17 @@ class TestSweeps:
         report = finished["result"][0]
         assert report["parameters"]["t"] == 2
         assert finished["finished_unix_s"] >= finished["submitted_unix_s"]
+
+    def test_sweep_job_leaves_no_recorder_spans(self, served):
+        recorder = obs.get_recorder()
+        with obs.recording():
+            before = len(recorder.spans)
+            status, document, _ = served.post(
+                "/v1/sweeps", {"sweep": "theorem1", "max_t": 3, "num_samples": 1}
+            )
+            assert status == 202
+            assert wait_for_job(served, document["job_id"])["status"] == "done"
+            assert len(recorder.spans) == before
 
     def test_jobs_listing(self, served):
         status, document, _ = served.post(

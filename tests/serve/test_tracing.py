@@ -189,6 +189,13 @@ class TestChromeExport:
         complete = [e for e in document["traceEvents"] if e["ph"] == "X"]
         assert complete[0]["name"] == "request"
         assert all("ts" in e and "dur" in e for e in complete)
+        # Only an exact ``format=chrome`` parameter selects the export.
+        for query in ("?format=chromeless", "?xformat=chrome"):
+            status, tree = served.get_json(f"/v1/traces/{trace_id}{query}")
+            assert status == 200
+            assert "traceEvents" not in tree
+            assert tree["trace_id"] == trace_id
+            assert tree["spans"][0]["name"] == "request"
 
 
 class TestCoalescedLinks:
