@@ -172,6 +172,41 @@ def _record_solve(stats: BranchAndBoundStats) -> None:
         _obs.incr("maxis.exact.bound_prunes", stats.bound_prunes)
 
 
+def _clique_cover(
+    candidates: int, masks: List[int], weights: List[float]
+) -> Tuple[List[int], float]:
+    """Greedy weighted clique cover of ``candidates``, one clique at a time.
+
+    Each clique starts at the lowest remaining bit (its heaviest member,
+    since ``weights`` is non-increasing), whose weight joins the bound;
+    it then grows by repeatedly taking the lowest bit of ``pool``, the
+    remaining vertices adjacent to every member so far.  This is exactly
+    the first-fit cover (each vertex, in index order, joins the first
+    clique whose members are all its neighbours): under first-fit, ``u``
+    lands in clique ``j`` iff it missed cliques ``0..j-1`` and is
+    adjacent to every lower-index member of clique ``j`` — the test
+    ``pool`` applies.  Same cliques, same order, same bound summed in
+    the same order; but a rebuild costs one mask AND per member instead
+    of a scan over all cliques per candidate.
+    """
+    cliques: List[int] = []
+    bound = 0.0
+    remaining = candidates
+    while remaining:
+        head = remaining & -remaining
+        index = head.bit_length() - 1
+        bound += weights[index]
+        clique = head
+        pool = remaining & masks[index]
+        while pool:
+            low = pool & -pool
+            clique |= low
+            pool &= masks[low.bit_length() - 1]
+        cliques.append(clique)
+        remaining ^= clique
+    return cliques, bound
+
+
 def _solve_ordered_masks(
     weights: List[float],
     masks: List[int],
@@ -217,23 +252,7 @@ def _solve_ordered_masks(
         nonlocal best_weight, best_set, nodes_expanded, bound_prunes
         nodes_expanded += 1
         if candidates.bit_count() <= built_at:
-            # Rebuild: greedy weighted clique cover of the candidate set.
-            cliques = []
-            bound = 0.0
-            remaining = candidates
-            clique_append = cliques.append
-            while remaining:
-                low = remaining & -remaining
-                remaining ^= low
-                adjacency = masks[low.bit_length() - 1]
-                for idx in range(len(cliques)):
-                    if cliques[idx] & ~adjacency:
-                        continue  # not adjacent to the whole clique
-                    cliques[idx] |= low
-                    break
-                else:
-                    clique_append(low)
-                    bound += weights[low.bit_length() - 1]
+            cliques, bound = _clique_cover(candidates, masks, weights)
             if current_weight + bound <= best_weight:
                 bound_prunes += 1
                 return

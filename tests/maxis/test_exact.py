@@ -14,6 +14,7 @@ from repro.maxis import (
     max_independent_set_weight,
     max_weight_independent_set,
 )
+from repro.maxis.exact import _clique_cover
 
 
 class TestSmallGraphs:
@@ -174,3 +175,49 @@ def test_hypothesis_matches_brute_force(n, p, seed):
     fast = max_weight_independent_set(graph).weight
     slow = brute_force_max_weight_independent_set(graph).weight
     assert fast == slow
+
+
+def _first_fit_cover(candidates, masks, weights):
+    """Reference cover: each candidate, in index order, joins the first
+    clique whose members are all its neighbours, else opens a new one."""
+    cliques = []
+    bound = 0.0
+    remaining = candidates
+    while remaining:
+        low = remaining & -remaining
+        remaining ^= low
+        adjacency = masks[low.bit_length() - 1]
+        for idx in range(len(cliques)):
+            if cliques[idx] & ~adjacency:
+                continue  # not adjacent to the whole clique
+            cliques[idx] |= low
+            break
+        else:
+            cliques.append(low)
+            bound += weights[low.bit_length() - 1]
+    return cliques, bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 10_000),
+    subset=st.integers(0, (1 << 40) - 1),
+)
+def test_clique_cover_matches_first_fit(n, p, seed, subset):
+    graph = random_graph(n, p, rng=random.Random(seed), weight_range=(1, 9))
+    _, weights, masks, _ = graph.solver_index_form()  # branching order
+    candidates = subset & ((1 << n) - 1)
+    cliques, bound = _clique_cover(candidates, masks, weights)
+    assert (cliques, bound) == _first_fit_cover(candidates, masks, weights)
+
+    covered = 0
+    for clique_mask in cliques:
+        assert clique_mask and not clique_mask & covered
+        covered |= clique_mask
+        members = [i for i in range(n) if (clique_mask >> i) & 1]
+        for i in members:
+            assert clique_mask & ~(1 << i) & ~masks[i] == 0  # a clique
+        assert weights[members[0]] == max(weights[i] for i in members)
+    assert covered == candidates
