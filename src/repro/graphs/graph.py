@@ -370,12 +370,15 @@ class WeightedGraph:
     # ------------------------------------------------------------------
 
     def copy(self) -> "WeightedGraph":
-        """Return a deep structural copy."""
+        """Return a deep structural copy.
+
+        Copies the adjacency sets and the weight map directly instead of
+        replaying every edge through :meth:`add_edge`; the copy starts
+        with an empty derived cache of its own.
+        """
         other = WeightedGraph()
-        for node, weight in self._weights.items():
-            other.add_node(node, weight=weight)
-        for u, v in self.edges():
-            other.add_edge(u, v)
+        other._adj = {node: set(neighbors) for node, neighbors in self._adj.items()}
+        other._weights = dict(self._weights)
         return other
 
     def subgraph(self, nodes: Iterable[Node]) -> "WeightedGraph":

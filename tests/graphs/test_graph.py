@@ -250,6 +250,23 @@ class TestDerivedGraphs:
     def test_copy_preserves_weights(self, triangle):
         assert triangle.copy().weights() == triangle.weights()
 
+    def test_copy_mutations_never_reach_original(self, triangle):
+        before_edges, before_weights = triangle.edge_set(), triangle.weights()
+        form = triangle.solver_index_form()
+        clone = triangle.copy()
+        assert clone == triangle
+        assert clone.derived_cache() is not triangle.derived_cache()
+        assert clone.solver_index_form() is not form
+        clone.add_edge("a", "d")
+        clone.remove_edge("b", "c")
+        clone.set_weight("b", 9)
+        clone.add_node("e", weight=5)
+        clone.remove_node("c")
+        assert triangle.edge_set() == before_edges
+        assert triangle.weights() == before_weights
+        assert triangle.neighbors("a") == {"b", "c"}
+        assert triangle.solver_index_form() is form
+
     def test_subgraph(self, triangle):
         sub = triangle.subgraph(["a", "b"])
         assert sub.num_nodes == 2
