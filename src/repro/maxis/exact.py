@@ -12,12 +12,19 @@ lifted back through the fold log afterwards), then a bitset
 branch-and-bound with a greedy weighted clique-cover upper bound solves
 the kernel.  A clique contributes at most its heaviest member to any
 independent set, so the cover bound collapses to almost the true optimum
-on clique-structured graphs — exactly our instances.  Covers are
-*inherited* down the search tree and rebuilt only once the candidate set
-has shrunk enough for a fresh cover to pay for itself.  A plain
-exponential brute force (:mod:`repro.maxis.brute_force`) cross-checks
-everything in tests, and ``--no-kernel`` (or ``kernel=False``) falls
-back to branch-and-bound on the raw graph.
+on clique-structured graphs — exactly our instances.
+
+The cover is built one clique at a time (:func:`_clique_cover`): the
+lowest remaining vertex opens a clique, and the clique grows by the
+lowest vertex of a pool that is intersected with each new member's
+adjacency mask.  That is exactly the first-fit cover (each vertex, in
+index order, joins the first clique it is fully adjacent to), at one
+mask AND per vertex instead of a scan over every clique.  Covers are
+*inherited* down the search tree and rebuilt once the candidate set has
+shrunk below ``_COVER_REBUILD_RATIO`` of its size at the last build.  A
+plain exponential brute force (:mod:`repro.maxis.brute_force`)
+cross-checks everything in tests, and ``--no-kernel`` (or
+``kernel=False``) falls back to branch-and-bound on the raw graph.
 """
 
 from __future__ import annotations
@@ -33,10 +40,16 @@ _obs = get_recorder()
 
 #: A search node rebuilds the clique cover once its candidate set has
 #: shrunk below this fraction of the size at the last build.  1.0 would
-#: rebuild at every node (tight bounds, high constant cost), 0.0 would
-#: keep the root cover forever (cheap, but stale bounds blow up the tree
-#: on larger gadgets); 0.5 measured best across the bench instances.
-_COVER_REBUILD_RATIO = 0.5
+#: rebuild at every node (tightest bounds, a rebuild per node), 0.0 would
+#: keep the root cover forever (stale bounds blow up the tree on larger
+#: gadgets).  With first-fit rebuilds costing O(n·k) the best was 0.5;
+#: mask-intersection rebuilds are cheap enough that rebuilding sooner
+#: wins.  Exact-search CPU over the 476 solves of the sweep's seeds 1-14
+#: (2-vCPU Xeon, CPython 3.11): 0.5 → 2.8 s, 0.6 → 1.4 s, 0.7 → 0.94 s,
+#: 0.8 → 0.89 s, 0.9 → 0.93 s, 1.0 → 1.35 s (docs/SOLVER.md has the
+#: full table).  Witnesses do not depend on it (see
+#: :func:`_solve_ordered_masks`).
+_COVER_REBUILD_RATIO = 0.8
 
 
 class BranchAndBoundStats:
@@ -214,8 +227,8 @@ def _solve_ordered_masks(
 ) -> Tuple[float, int]:
     """Branch and bound over a *pre-ordered* index form.
 
-    Precondition: ``weights`` is non-increasing.  The greedy clique
-    cover visits candidates lowest-index-first, so each clique's first
+    Precondition: ``weights`` is non-increasing.  :func:`_clique_cover`
+    opens each clique at its lowest index, so each clique's first
     member is its heaviest and the cover bound is a first-member weight
     sum; when the cover is reused to bound a *subset* of the set it was
     built for, ``(clique & subset) & -(clique & subset)`` picks the

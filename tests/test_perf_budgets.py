@@ -11,9 +11,14 @@ import time
 
 import pytest
 
-from repro.commcc import pairwise_disjoint_inputs
+from repro.commcc import pairwise_disjoint_inputs, uniquely_intersecting_inputs
 from repro.congest import CongestNetwork, LubyMIS
-from repro.gadgets import GadgetParameters, LinearConstruction
+from repro.core import LinearLowerBoundExperiment
+from repro.gadgets import (
+    GadgetParameters,
+    LinearConstruction,
+    smallest_meaningful_linear_parameters,
+)
 from repro.graphs import random_graph
 from repro.maxis import max_weight_independent_set
 
@@ -42,6 +47,26 @@ class TestSolverBudgets:
         inputs = pairwise_disjoint_inputs(params.k, params.t, rng=random.Random(1))
         graph = construction.apply_inputs(inputs)
         _timed(lambda: max_weight_independent_set(graph), 2.0)
+
+    def test_heaviest_theorem1_t6_solve_under_half_a_second(self):
+        """The heaviest solve of ``theorem1 --max-t 6 --samples 2 --seed 1``.
+
+        It is the first sample's pairwise-disjoint instance (432 nodes);
+        the first-fit cover at rebuild ratio 0.5 took about 1.5 s and
+        9879 search nodes on it, the current search about 0.01 s.
+        """
+        experiment = LinearLowerBoundExperiment(
+            smallest_meaningful_linear_parameters(6), seed=1
+        )
+        params = experiment.params
+        rng = random.Random(experiment.seed)
+        # Draw the inputs in the order LinearLowerBoundExperiment.run does.
+        uniquely_intersecting_inputs(params.k, params.t, rng=rng)
+        inputs = pairwise_disjoint_inputs(params.k, params.t, rng=rng)
+        graph = experiment.family.construction.apply_inputs(inputs)
+        assert graph.num_nodes == 432
+        result = _timed(lambda: max_weight_independent_set(graph), 0.5)
+        assert result.weight == 60
 
     def test_random_graph_40_nodes_under_two_seconds(self):
         graph = random_graph(40, 0.3, rng=random.Random(2), weight_range=(1, 9))
