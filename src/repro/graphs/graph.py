@@ -372,12 +372,12 @@ class WeightedGraph:
     def copy(self) -> "WeightedGraph":
         """Return a deep structural copy.
 
-        Copies the adjacency sets and the weight map directly instead of
-        replaying every edge through :meth:`add_edge`; the copy starts
-        with an empty derived cache of its own.
+        The adjacency sets and the weight map are copied wholesale, not
+        edge by edge: ``apply_inputs`` copies the fixed gadget graph for
+        every instance.  The copy starts with an empty derived cache.
         """
         other = WeightedGraph()
-        other._adj = {node: set(neighbors) for node, neighbors in self._adj.items()}
+        other._adj = {node: set(nbrs) for node, nbrs in self._adj.items()}
         other._weights = dict(self._weights)
         return other
 

@@ -21,10 +21,12 @@ adjacency mask.  That is exactly the first-fit cover (each vertex, in
 index order, joins the first clique it is fully adjacent to), at one
 mask AND per vertex instead of a scan over every clique.  Covers are
 *inherited* down the search tree and rebuilt once the candidate set has
-shrunk below ``_COVER_REBUILD_RATIO`` of its size at the last build.  A
-plain exponential brute force (:mod:`repro.maxis.brute_force`)
-cross-checks everything in tests, and ``--no-kernel`` (or
-``kernel=False``) falls back to branch-and-bound on the raw graph.
+shrunk below ``_COVER_REBUILD_RATIO`` (0.8) of its size at the last
+build; cheap rebuilds made rebuilding that often pay (measured table in
+``docs/SOLVER.md``).  A plain exponential brute force
+(:mod:`repro.maxis.brute_force`) cross-checks everything in tests, and
+``--no-kernel`` (or ``kernel=False``) falls back to branch-and-bound on
+the raw graph.
 """
 
 from __future__ import annotations
@@ -44,10 +46,11 @@ _obs = get_recorder()
 #: keep the root cover forever (stale bounds blow up the tree on larger
 #: gadgets).  With first-fit rebuilds costing O(n·k) the best was 0.5;
 #: mask-intersection rebuilds are cheap enough that rebuilding sooner
-#: wins.  Exact-search CPU over the 476 solves of the sweep's seeds 1-14
-#: (2-vCPU Xeon, CPython 3.11): 0.5 → 2.8 s, 0.6 → 1.4 s, 0.7 → 0.94 s,
-#: 0.8 → 0.89 s, 0.9 → 0.93 s, 1.0 → 1.35 s (docs/SOLVER.md has the
-#: full table).  Witnesses do not depend on it (see
+#: wins.  Exact-search time over the 476 solves of the benchmark sweep's
+#: seeds 1-14 (2-vCPU Xeon, CPython 3.11): first-fit at 0.5 → 6.9 s;
+#: mask intersection at 0.5 → 2.8 s, 0.6 → 1.1 s, 0.7 / 0.8 → 0.77 s,
+#: 0.9 → 1.1 s, 1.0 → 1.2 s; 0.8 is also the best at t=6 (full table in
+#: docs/SOLVER.md).  Witnesses do not depend on it (see
 #: :func:`_solve_ordered_masks`).
 _COVER_REBUILD_RATIO = 0.8
 
