@@ -9,7 +9,7 @@ instances for external tools and to regression-pin constructions.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterable, List
 
 from .graph import Node, WeightedGraph
 
@@ -33,12 +33,7 @@ def _decode_node(data: Any) -> Node:
 
 
 def encode_node(node: Node) -> Any:
-    """The JSON-safe encoding of one node id (tuples become tagged lists).
-
-    Public entry point for layers that serialize node collections
-    outside a whole graph — the result store's ``node_list`` codec and
-    its canonical graph keys.
-    """
+    """The JSON-safe encoding of one node id (tuples become tagged lists)."""
     return _encode_node(node)
 
 
@@ -47,34 +42,49 @@ def decode_node(data: Any) -> Node:
     return _decode_node(data)
 
 
+def _sort_text(encoded: Any) -> str:
+    """The canonical sort key of an encoded node id: its JSON text."""
+    return json.dumps(encoded, sort_keys=True)
+
+
+def encode_nodes_sorted(nodes: Iterable[Node]) -> List[Any]:
+    """Encode ``nodes`` and list them in the canonical order.
+
+    The one canonical order sorts encoded ids by their JSON text.  Graph
+    payloads, graph cache keys (both via :func:`graph_to_dict`), the
+    store's ``node_list`` payloads and MaxIS witnesses all follow it.
+    """
+    return sorted(map(_encode_node, nodes), key=_sort_text)
+
+
 def graph_to_dict(graph: WeightedGraph) -> Dict[str, Any]:
     """Flatten a graph to a JSON-safe dictionary, canonically ordered.
 
-    Nodes and edges are sorted (and each edge oriented) by their encoded
-    ids, so the same graph built in any insertion order — or rebuilt
-    from a decoded payload — flattens to identical bytes.  The store's
-    graph codec and the serve responses rely on this: a warm cache hit
-    re-encodes to exactly the payload that was stored cold.
+    Nodes and edges are sorted (and each edge oriented) by the JSON text
+    of their encoded ids, so the same graph built in any insertion order
+    — or rebuilt from a decoded payload — flattens to identical bytes.
+    The store's graph codec and the serve responses rely on this: a warm
+    cache hit re-encodes to exactly the payload that was stored cold.
+
+    Each node is encoded and its sort text computed once; ``nodes`` and
+    ``edges`` share the encoded id lists.
     """
-
-    def sort_key(encoded: Any) -> str:
-        return json.dumps(encoded, sort_keys=True)
-
-    nodes = sorted(
-        (
-            {"id": _encode_node(node), "weight": graph.weight(node)}
-            for node in graph.nodes()
-        ),
-        key=lambda entry: sort_key(entry["id"]),
-    )
-    edges = []
+    ids: Dict[Node, Any] = {}
+    text: Dict[Node, str] = {}
+    for node in graph.nodes():
+        ids[node] = encoded = _encode_node(node)
+        text[node] = _sort_text(encoded)
+    nodes = [
+        {"id": ids[node], "weight": graph.weight(node)}
+        for node in sorted(text, key=text.__getitem__)
+    ]
+    pairs = []
     for u, v in graph.edges():
-        left, right = _encode_node(u), _encode_node(v)
-        if sort_key(left) > sort_key(right):
-            left, right = right, left
-        edges.append([left, right])
-    edges.sort(key=lambda pair: (sort_key(pair[0]), sort_key(pair[1])))
-    return {"nodes": nodes, "edges": edges}
+        if text[u] > text[v]:
+            u, v = v, u
+        pairs.append((u, v))
+    pairs.sort(key=lambda pair: (text[pair[0]], text[pair[1]]))
+    return {"nodes": nodes, "edges": [[ids[u], ids[v]] for u, v in pairs]}
 
 
 def graph_from_dict(data: Dict[str, Any]) -> WeightedGraph:

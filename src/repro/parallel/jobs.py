@@ -215,9 +215,7 @@ def _maxis_solve(graph: Any, mode: str = "exact") -> Dict[str, Any]:
     nodes are serialized and canonically sorted so the payload is
     byte-deterministic under the json codec.
     """
-    import json as _json
-
-    from ..graphs.serialize import encode_node
+    from ..graphs.serialize import encode_nodes_sorted
     from ..maxis import best_greedy, max_weight_independent_set
 
     if mode == "exact":
@@ -226,10 +224,7 @@ def _maxis_solve(graph: Any, mode: str = "exact") -> Dict[str, Any]:
         result = best_greedy(graph)
     else:
         raise ValueError(f"unknown mode {mode!r}; expected exact|greedy")
-    witness = sorted(
-        (encode_node(node) for node in result.nodes),
-        key=lambda item: _json.dumps(item, sort_keys=True),
-    )
+    witness = encode_nodes_sorted(result.nodes)
     return {"mode": mode, "weight": result.weight, "witness": witness}
 
 

@@ -69,11 +69,9 @@ class NodeListCodec(Codec):
     name = "node_list"
 
     def encode(self, value: Any) -> bytes:
-        from ..graphs.serialize import encode_node
+        from ..graphs.serialize import encode_nodes_sorted
 
-        encoded = [encode_node(node) for node in value]
-        encoded.sort(key=lambda item: json.dumps(item, sort_keys=True))
-        return _dump(encoded)
+        return _dump(encode_nodes_sorted(value))
 
     def decode(self, data: bytes) -> Any:
         from ..graphs.serialize import decode_node

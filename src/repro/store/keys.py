@@ -8,7 +8,7 @@ tuple-vs-list spelling, or graph construction order — derive the same
 key; any difference in semantics derives a different one.
 
 Graphs canonicalize structurally (sorted node/weight pairs plus sorted
-undirected edges over the tagged-node encoding of
+undirected edges, in the canonical order of
 :mod:`repro.graphs.serialize`), so a gadget instance built in a
 different insertion order still hits.
 """
@@ -55,28 +55,19 @@ def encode_for_key(value: Any) -> Any:
 
 
 def canonical_graph_dict(graph: Any) -> Dict[str, Any]:
-    """A graph as sorted ``nodes``/``edges`` lists over encoded node ids.
+    """A graph as sorted ``[id, weight]`` node pairs plus sorted edges.
 
-    Insertion-order free: the same graph built in any order (or decoded
-    from a cached payload) canonicalizes identically.
+    A reshape of :func:`repro.graphs.serialize.graph_to_dict`, so keys
+    and graph payloads share one canonical order: the same graph built
+    in any order (or decoded from a cached payload) keys identically.
     """
-    from ..graphs.serialize import encode_node
+    from ..graphs.serialize import graph_to_dict
 
-    def sort_key(encoded: Any) -> str:
-        return json.dumps(encoded, sort_keys=True)
-
-    nodes = sorted(
-        ([encode_node(node), graph.weight(node)] for node in graph.nodes()),
-        key=lambda entry: sort_key(entry[0]),
-    )
-    edges = []
-    for u, v in graph.edges():
-        left, right = encode_node(u), encode_node(v)
-        if sort_key(left) > sort_key(right):
-            left, right = right, left
-        edges.append([left, right])
-    edges.sort(key=lambda pair: (sort_key(pair[0]), sort_key(pair[1])))
-    return {"nodes": nodes, "edges": edges}
+    flat = graph_to_dict(graph)
+    return {
+        "nodes": [[entry["id"], entry["weight"]] for entry in flat["nodes"]],
+        "edges": flat["edges"],
+    }
 
 
 def derive_key(kind: str, params: Any, fingerprint: str) -> str:
