@@ -217,7 +217,10 @@ class DeepProfiler:
                     tracemalloc.Filter(False, "*/tracemalloc.py"),
                 )
             )
-            for stat in snapshot.statistics("lineno")[: self.top_allocations]:
+            # A site can hold only zero-byte blocks (a list resized to
+            # empty); such statistics must not take a top-N slot.
+            stats = [stat for stat in snapshot.statistics("lineno") if stat.size]
+            for stat in stats[: self.top_allocations]:
                 frame = stat.traceback[0]
                 site = _short_site(frame.filename, frame.lineno)
                 entry = self._allocations.setdefault(site, [0, 0])
