@@ -153,9 +153,10 @@ def _codec_document(codec_name: str, value: Any) -> Any:
     """Encode ``value`` through a store codec, then parse the bytes back.
 
     The response embeds the *codec's* canonical JSON — re-dumping the
-    returned object with ``sort_keys=True, separators=(",", ":")``
-    reproduces the stored payload byte for byte, which is exactly what
-    the round-trip tests assert.
+    returned object with ``sort_keys=True`` and the codec's separators
+    (default for ``graph``, compact for the rest) reproduces the stored
+    payload byte for byte, which is exactly what the round-trip tests
+    assert.
     """
     from ..store import get_codec
 
