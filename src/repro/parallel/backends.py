@@ -330,15 +330,6 @@ class ProcessPoolBackend:
                         "a pool worker died mid-sweep; rerun with "
                         "--watchdog-requeue to degrade to serial instead"
                     )
-        except BaseException:
-            # The sweep is failing (a dead worker without requeue, an
-            # interrupt): stop the drainer and abandon the pool, or the
-            # drainer keeps polling the channel for the life of the
-            # process.
-            drain_stop.set()
-            drainer.join(timeout=1.0)
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
         finally:
             # Resume parent sampling before any serial requeue below:
             # requeued units run in this process and should be sampled

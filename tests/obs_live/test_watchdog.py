@@ -137,9 +137,3 @@ class TestStallWatchdog:
             attacker.join()
         monitor.close()
         assert hit
-        # The failed sweep must not leave its telemetry drainer polling.
-        assert not [
-            thread
-            for thread in threading.enumerate()
-            if thread.name == "repro-live-drain"
-        ]
