@@ -67,7 +67,8 @@ def graph_to_dict(graph: WeightedGraph) -> Dict[str, Any]:
     cache hit re-encodes to exactly the payload that was stored cold.
 
     Each node is encoded and its sort text computed once; ``nodes`` and
-    ``edges`` share the encoded id lists.
+    ``edges`` share the encoded id lists, so an edge added under an equal
+    value of another type (``1.0`` for node ``1``) is spelled as its node.
     """
     ids: Dict[Node, Any] = {}
     text: Dict[Node, str] = {}
