@@ -12,8 +12,9 @@ Keys are derived under a fixed fingerprint string: the real
 on and so changes with every edit to them.  Nothing here depends on
 ``PYTHONHASHSEED``.
 
-Print the current values with ``PYTHONPATH=src python
-tests/store/test_canonical_pins.py``.
+The values were computed once at the commit before the canonical order
+was memoized, by evaluating each helper below there, and were left
+untouched since; regenerate none of them to match changed bytes.
 """
 
 from __future__ import annotations
@@ -175,39 +176,3 @@ def test_mixed_graph_key(name):
 def test_node_list_payload():
     assert get_codec("node_list").encode(NODE_LIST) == NODE_LIST_PAYLOAD
 
-
-def _current() -> Dict[str, Any]:
-    maxis = [
-        (name, mode)
-        for name in ("linear/ell=2,t=2", "linear/ell=2,t=3")
-        for mode in ("exact", "greedy")
-    ]
-    return {
-        "GRAPH_JSON_SHA256": {
-            name: _sha(graph_to_json(build())) for name, build in GRAPHS.items()
-        },
-        "GADGET_KEYS": {
-            name: _gadget_key(name) for name in GRAPHS if "/ell=" in name
-        },
-        "MAXIS_KEYS": {case: _maxis_key(*case) for case in maxis},
-        "MAXIS_PAYLOAD_SHA256": {
-            case: _sha(_maxis_payload(*case)) for case in maxis
-        },
-        "MIXED_GRAPH_KEYS": {
-            name: derive_key("graph", {"graph": build()}, FINGERPRINT)
-            for name, build in GRAPHS.items()
-            if name.startswith("mixed/")
-        },
-        "NODE_LIST_PAYLOAD": get_codec("node_list").encode(NODE_LIST),
-    }
-
-
-if __name__ == "__main__":
-    for constant, value in _current().items():
-        if isinstance(value, dict):
-            print(f"{constant} = {{")
-            for key, pin in value.items():
-                print(f"    {key!r}: {pin!r},".replace("'", '"'))
-            print("}\n")
-        else:
-            print(f"{constant} = {value!r}\n")
